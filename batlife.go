@@ -264,9 +264,12 @@ type Distribution struct {
 	Times []float64
 	// EmptyProb[k] is Pr{battery empty at Times[k]}.
 	EmptyProb []float64
-	// States and Transitions describe the expanded CTMC that was
-	// solved; Iterations counts uniformisation steps.
-	States, Transitions, Iterations int
+	// States is the size N·n1·n2 of the paper's expanded grid;
+	// ReachableStates and Transitions describe the chain that was solved,
+	// over the grid states reachable from a full battery (ReachableStates
+	// is zero for ExactCDF, which expands no grid). Iterations counts
+	// uniformisation steps.
+	States, ReachableStates, Transitions, Iterations int
 }
 
 // LifetimeDistribution runs the paper's Markovian approximation: the

@@ -150,7 +150,8 @@ func cmdCDF(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "expanded CTMC: %d states, %d transitions\n", e.NumStates(), e.NNZ())
+	fmt.Fprintf(os.Stderr, "expanded CTMC: %d states (%d reachable), %d transitions\n",
+		e.NumStates(), e.ReachableStates(), e.NNZ())
 	res, err := e.LifetimeCDFOpts(times, core.SolveOptions{Obs: reg})
 	if err != nil {
 		return err

@@ -166,22 +166,24 @@ func validTimeout(seconds float64) error {
 // SolveResult is the outcome of one analysis. For "cdf" and "exact" the
 // distribution fields are set; for "mean" only MeanSeconds.
 type SolveResult struct {
-	Times       []float64 `json:"times,omitempty"`
-	EmptyProb   []float64 `json:"empty_prob,omitempty"`
-	States      int       `json:"states,omitempty"`
-	Transitions int       `json:"transitions,omitempty"`
-	Iterations  int       `json:"iterations,omitempty"`
-	MeanSeconds *float64  `json:"mean_seconds,omitempty"`
+	Times           []float64 `json:"times,omitempty"`
+	EmptyProb       []float64 `json:"empty_prob,omitempty"`
+	States          int       `json:"states,omitempty"`
+	ReachableStates int       `json:"reachable_states,omitempty"`
+	Transitions     int       `json:"transitions,omitempty"`
+	Iterations      int       `json:"iterations,omitempty"`
+	MeanSeconds     *float64  `json:"mean_seconds,omitempty"`
 }
 
 // DistributionResult converts a computed distribution to its wire form.
 func DistributionResult(d *batlife.Distribution) *SolveResult {
 	return &SolveResult{
-		Times:       d.Times,
-		EmptyProb:   d.EmptyProb,
-		States:      d.States,
-		Transitions: d.Transitions,
-		Iterations:  d.Iterations,
+		Times:           d.Times,
+		EmptyProb:       d.EmptyProb,
+		States:          d.States,
+		ReachableStates: d.ReachableStates,
+		Transitions:     d.Transitions,
+		Iterations:      d.Iterations,
 	}
 }
 
@@ -256,8 +258,8 @@ type ProgressEvent struct {
 // non-2xx response body.
 type Error struct {
 	// Code is a stable, machine-matchable class: bad_argument,
-	// iteration_limit, deadline_exceeded, canceled, overloaded,
-	// draining, not_found, internal.
+	// request_too_large, iteration_limit, deadline_exceeded, canceled,
+	// overloaded, draining, not_found, internal.
 	Code string `json:"code"`
 	// Message is the human-readable cause.
 	Message string `json:"message"`

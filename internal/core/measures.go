@@ -30,12 +30,11 @@ func (e *Expanded) MeanLifetime() (float64, error) {
 	if e.model.MaxCurrent() == 0 {
 		return 0, fmt.Errorf("%w: no state draws current", ErrNoAbsorption)
 	}
-	n := e.model.Workload.NumStates()
-	total := e.NumStates()
+	total := e.ReachableStates()
 
 	// Live states are those with j1 > 0; they occupy the contiguous
-	// index range [n·n2, total).
-	offset := n * e.n2
+	// index range [empty, total).
+	offset := e.empty
 	live := total - offset
 
 	b := sparse.NewBuilder(live, live, e.gen.NNZ())
@@ -107,32 +106,25 @@ func (e *Expanded) ChargeAt(t float64) (*ChargeMoments, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: charge moments: %w", err)
 	}
-	n := e.model.Workload.NumStates()
-	pi := res.Distributions[0]
 	m := &ChargeMoments{}
 	var second float64
-	for j1 := 0; j1 < e.n1; j1++ {
-		y1 := 0.0
+	for s, p := range res.Distributions[0] {
+		if p == 0 {
+			continue
+		}
+		_, j1, j2 := e.gridCoords(int(e.reach[s]))
+		y1, y2 := 0.0, 0.0
 		if j1 > 0 {
 			y1 = (float64(j1) + 0.5) * e.delta
 		}
-		for j2 := 0; j2 < e.n2; j2++ {
-			y2 := 0.0
-			if j2 > 0 {
-				y2 = (float64(j2) + 0.5) * e.delta
-			}
-			for i := 0; i < n; i++ {
-				p := pi[e.index(i, j1, j2)]
-				if p == 0 {
-					continue
-				}
-				m.MeanAvailable += p * y1
-				m.MeanBound += p * y2
-				second += p * y1 * y1
-				if j1 == 0 {
-					m.EmptyProb += p
-				}
-			}
+		if j2 > 0 {
+			y2 = (float64(j2) + 0.5) * e.delta
+		}
+		m.MeanAvailable += p * y1
+		m.MeanBound += p * y2
+		second += p * y1 * y1
+		if j1 == 0 {
+			m.EmptyProb += p
 		}
 	}
 	if v := second - m.MeanAvailable*m.MeanAvailable; v > 0 {
@@ -186,16 +178,13 @@ func (e *Expanded) WastedChargeDistributionOpts(t float64, so SolveOptions) (*Wa
 	if err != nil {
 		return nil, fmt.Errorf("core: wasted charge: %w", err)
 	}
-	n := e.model.Workload.NumStates()
 	wc := &WastedCharge{
 		Levels: make([]float64, e.n2),
 		Delta:  e.delta,
 	}
-	pi := res.Distributions[0]
-	for j2 := 0; j2 < e.n2; j2++ {
-		for i := 0; i < n; i++ {
-			wc.Levels[j2] += pi[e.index(i, 0, j2)]
-		}
+	for s, p := range res.Distributions[0][:e.empty] {
+		_, _, j2 := e.gridCoords(int(e.reach[s]))
+		wc.Levels[j2] += p
 	}
 	for _, p := range wc.Levels {
 		wc.AbsorbedMass += p

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"batlife/internal/ctmc"
 	"batlife/internal/mrm"
@@ -43,7 +44,7 @@ func PhasedLifetimeCDF(phases []ModelPhase, delta float64, times []float64, opts
 				return nil, fmt.Errorf("phase %d: %w", i, err)
 			}
 		}
-		e, err := Build(ph.Model, delta, opts)
+		e, err := newExpanded(ph.Model, delta, opts)
 		if err != nil {
 			if i > 0 {
 				err = fmt.Errorf("phase %d: %w", i, err)
@@ -51,6 +52,9 @@ func PhasedLifetimeCDF(phases []ModelPhase, delta float64, times []float64, opts
 			return nil, err
 		}
 		xs[i], durations[i] = e, ph.Duration
+	}
+	if err := expand(xs); err != nil {
+		return nil, err
 	}
 	return PhasedLifetimeCDFExpanded(xs, durations, times, SolveOptions{
 		Epsilon:     opts.Epsilon,
@@ -66,6 +70,13 @@ func PhasedLifetimeCDF(phases []ModelPhase, delta float64, times []float64, opts
 // durations[i] seconds; the final duration may be +Inf. All phases must
 // share the battery, the workload state count and the step Δ, so the
 // probability vector can be handed across phase boundaries.
+//
+// The vector is handed over in one index space: the states reachable
+// from the first phase's α under the union of all phases' transition
+// rules. Phases built together by PhasedLifetimeCDF already share it;
+// phases expanded one by one (as an engine cache serves them) are used
+// as they are when their reachable sets coincide and are otherwise
+// expanded again over the union.
 func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []float64, so SolveOptions) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%w: no phases", ErrPhaseMismatch)
@@ -74,8 +85,7 @@ func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []
 		return nil, fmt.Errorf("%w: %d durations for %d phases", ErrPhaseMismatch, len(durations), len(phases))
 	}
 	first := phases[0]
-	chainPhases := make([]ctmc.Phase, len(phases))
-	chainPhases[0] = ctmc.Phase{Generator: first.gen, Duration: durations[0]}
+	shared := true
 	for i, e := range phases[1:] {
 		if err := checkPhaseCompat(first.model, e.model); err != nil {
 			return nil, fmt.Errorf("phase %d: %w", i+1, err)
@@ -84,17 +94,26 @@ func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []
 		if e.delta != first.delta {
 			return nil, fmt.Errorf("%w: phase %d step %v vs %v", ErrPhaseMismatch, i+1, e.delta, first.delta)
 		}
-		chainPhases[i+1] = ctmc.Phase{Generator: e.gen, Duration: durations[i+1]}
+		shared = shared && slices.Equal(e.reach, first.reach)
+	}
+	if !shared {
+		union := make([]*Expanded, len(phases))
+		for i, e := range phases {
+			opts := e.opts
+			opts.Context = so.Context
+			union[i] = &Expanded{model: e.model, delta: e.delta, n1: e.n1, n2: e.n2, opts: opts}
+		}
+		if err := expand(union); err != nil {
+			return nil, err
+		}
+		phases, first = union, union[0]
+	}
+	chainPhases := make([]ctmc.Phase, len(phases))
+	for i, e := range phases {
+		chainPhases[i] = ctmc.Phase{Generator: e.gen, Duration: durations[i]}
 	}
 
-	n := first.model.Workload.NumStates()
-	w := make([]float64, first.NumStates())
-	for j2 := 0; j2 < first.n2; j2++ {
-		for i := 0; i < n; i++ {
-			w[first.index(i, 0, j2)] = 1
-		}
-	}
-	res, err := ctmc.PiecewiseTransientFunctional(chainPhases, first.alpha, w, times, first.transientOpts(so))
+	res, err := ctmc.PiecewiseTransientFunctional(chainPhases, first.alpha, first.emptyIndicator(), times, first.transientOpts(so))
 	if err != nil {
 		return nil, fmt.Errorf("core: phased lifetime CDF: %w", err)
 	}
@@ -103,12 +122,13 @@ func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []
 		probs[k] = math.Min(1, math.Max(0, p))
 	}
 	return &Result{
-		Times:      res.Times,
-		EmptyProb:  probs,
-		Iterations: res.Iterations,
-		Rate:       res.Rate,
-		States:     first.NumStates(),
-		NNZ:        first.NNZ(),
+		Times:           res.Times,
+		EmptyProb:       probs,
+		Iterations:      res.Iterations,
+		Rate:            res.Rate,
+		States:          first.NumStates(),
+		ReachableStates: first.ReachableStates(),
+		NNZ:             first.NNZ(),
 	}, nil
 }
 

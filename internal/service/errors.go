@@ -48,6 +48,8 @@ func classify(err error) (status int, code string) {
 	switch {
 	case err == nil:
 		return http.StatusOK, ""
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge, "request_too_large"
 	case errors.Is(err, batlife.ErrBadArgument):
 		return http.StatusBadRequest, "bad_argument"
 	case errors.Is(err, batlife.ErrIterationLimit):

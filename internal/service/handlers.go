@@ -59,7 +59,7 @@ func (s *Service) instrument(name string, h http.Handler) http.Handler {
 // admit (or coalesce onto identical work), await, respond.
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req api.SolveRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -93,7 +93,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 // SweepResponse.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -249,13 +249,19 @@ func (s *Service) stream(ctx context.Context, w http.ResponseWriter, j *job, coa
 	}
 }
 
-// decodeRequest strictly decodes a JSON request body; failures are
-// argument errors.
-func decodeRequest(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBytes caps a request body. Well-formed requests, sweeps
+// included, stay far below it; the cap only bounds what a malformed or
+// hostile client can make the decoder buffer.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest strictly decodes a JSON request body of at most
+// maxRequestBytes; failures are argument errors, and an oversized body
+// also matches *http.MaxBytesError.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: request body: %v", batlife.ErrBadArgument, err)
+		return fmt.Errorf("%w: request body: %w", batlife.ErrBadArgument, err)
 	}
 	return nil
 }

@@ -118,8 +118,13 @@ func TestHTTPSolveGoldenAgainstSolver(t *testing.T) {
 			t.Errorf("EmptyProb[%d] = %v, want %v", i, sr.Result.EmptyProb[i], want.EmptyProb[i])
 		}
 	}
-	if sr.Result.States != want.States || sr.Result.Iterations != want.Iterations {
-		t.Errorf("metadata {%d %d} vs {%d %d}", sr.Result.States, sr.Result.Iterations, want.States, want.Iterations)
+	if sr.Result.States != want.States || sr.Result.ReachableStates != want.ReachableStates ||
+		sr.Result.Iterations != want.Iterations {
+		t.Errorf("metadata {%d %d %d} vs {%d %d %d}", sr.Result.States, sr.Result.ReachableStates, sr.Result.Iterations,
+			want.States, want.ReachableStates, want.Iterations)
+	}
+	if !bytes.Contains(body, []byte(`"reachable_states":`)) || want.ReachableStates <= 0 || want.ReachableStates > want.States {
+		t.Errorf("reachable_states %d of %d states, body %s", want.ReachableStates, want.States, body)
 	}
 
 	// "mean" and "exact" dispatch to their analyses.
@@ -351,6 +356,34 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp2, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve", &req)
 	if resp2.StatusCode != http.StatusUnprocessableEntity || errCode(t, body) != "iteration_limit" {
 		t.Errorf("iteration limit: status %d code %q body %s", resp2.StatusCode, errCode(t, body), body)
+	}
+}
+
+func TestHTTPRequestBodyCap(t *testing.T) {
+	svc := New(Config{MaxInflight: 2})
+	ts := httptest.NewServer(svc.Routes())
+	defer ts.Close()
+
+	// A syntactically plausible body just over the cap: the decoder hits
+	// the limit mid-array, before the JSON is complete.
+	big := `{"times":[` + strings.Repeat("1,", maxRequestBytes/2+1024) + `1]}`
+	for _, path := range []string{"/v1/solve", "/v1/sweep"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || errCode(t, body) != "request_too_large" {
+			t.Errorf("%s oversized body: status %d body %.200s", path, resp.StatusCode, body)
+		}
+	}
+
+	// A normal body is untouched by the cap.
+	req := validSolveReq(t)
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/solve", &req)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("normal body: status %d body %s", resp.StatusCode, body)
 	}
 }
 

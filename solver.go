@@ -42,8 +42,12 @@ func NewTelemetry() *Telemetry { return obs.NewRegistry() }
 // memo: a memoised answer replays the statistics of the solve that
 // produced it, with ResultMemoHit set.
 type SolveReport struct {
-	// States and Transitions describe the expanded CTMC.
-	States, Transitions int
+	// States is the size N·n1·n2 of the paper's expanded grid;
+	// ReachableStates and Transitions describe the chain actually built
+	// over the grid states reachable from a full battery. ExactCDF
+	// expands no grid: there States and Transitions describe the
+	// workload chain and ReachableStates is zero.
+	States, ReachableStates, Transitions int
 	// Iterations counts uniformisation steps; SpMVs sparse
 	// matrix-vector products (equal for a full solve).
 	Iterations, SpMVs int
@@ -402,14 +406,16 @@ func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, o
 		return nil, wrapErr(err)
 	}
 	d = &Distribution{
-		Times:       res.Times,
-		EmptyProb:   res.EmptyProb,
-		States:      res.States,
-		Transitions: res.NNZ,
-		Iterations:  res.Iterations,
+		Times:           res.Times,
+		EmptyProb:       res.EmptyProb,
+		States:          res.States,
+		ReachableStates: res.ReachableStates,
+		Transitions:     res.NNZ,
+		Iterations:      res.Iterations,
 	}
 	rep := SolveReport{
 		States:             res.States,
+		ReachableStates:    res.ReachableStates,
 		Transitions:        res.NNZ,
 		Iterations:         res.Iterations,
 		SpMVs:              res.SpMVs,
@@ -482,14 +488,16 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 		}
 		for i, res := range ress {
 			d := &Distribution{
-				Times:       res.Times,
-				EmptyProb:   res.EmptyProb,
-				States:      res.States,
-				Transitions: res.NNZ,
-				Iterations:  res.Iterations,
+				Times:           res.Times,
+				EmptyProb:       res.EmptyProb,
+				States:          res.States,
+				ReachableStates: res.ReachableStates,
+				Transitions:     res.NNZ,
+				Iterations:      res.Iterations,
 			}
 			s.results.Put(missKeys[i], memoEntry{val: d, rep: SolveReport{
 				States:             res.States,
+				ReachableStates:    res.ReachableStates,
 				Transitions:        res.NNZ,
 				Iterations:         res.Iterations,
 				SpMVs:              res.SpMVs,
@@ -593,14 +601,16 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 		return nil, wrapErr(err)
 	}
 	d = &Distribution{
-		Times:       res.Times,
-		EmptyProb:   res.EmptyProb,
-		States:      res.States,
-		Transitions: res.NNZ,
-		Iterations:  res.Iterations,
+		Times:           res.Times,
+		EmptyProb:       res.EmptyProb,
+		States:          res.States,
+		ReachableStates: res.ReachableStates,
+		Transitions:     res.NNZ,
+		Iterations:      res.Iterations,
 	}
 	rep := SolveReport{
 		States:             res.States,
+		ReachableStates:    res.ReachableStates,
 		Transitions:        res.NNZ,
 		Iterations:         res.Iterations,
 		SpMVs:              res.SpMVs,
@@ -654,9 +664,10 @@ func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) 
 	// The mean solve is a direct linear system: no uniformisation
 	// statistics to report beyond the chain size.
 	rep := SolveReport{
-		States:        e.NumStates(),
-		Transitions:   e.NNZ(),
-		ModelCacheHit: hit,
+		States:          e.NumStates(),
+		ReachableStates: e.ReachableStates(),
+		Transitions:     e.NNZ(),
+		ModelCacheHit:   hit,
 	}
 	if opts.Report != nil {
 		rep.BuildDuration = buildDur
@@ -721,9 +732,10 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 		FractionOfBound: wc.Mean() / bound,
 	}
 	rep := SolveReport{
-		States:        e.NumStates(),
-		Transitions:   e.NNZ(),
-		ModelCacheHit: hit,
+		States:          e.NumStates(),
+		ReachableStates: e.ReachableStates(),
+		Transitions:     e.NNZ(),
+		ModelCacheHit:   hit,
 	}
 	if opts.Report != nil {
 		rep.BuildDuration = buildDur

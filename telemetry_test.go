@@ -101,6 +101,15 @@ func TestTelemetryExactCounts(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+	// Grid and reachable sizes are reported separately and agree with
+	// the report. Of the 290 grid states a full battery never reaches
+	// the top level (both workload states) nor the empty "off" state.
+	grid, reach := reg.Histogram("core_expanded_states").Snapshot(), reg.Histogram("core_reachable_states").Snapshot()
+	if grid.Count != 1 || int(grid.Sum) != rep.States || reach.Count != 1 || int(reach.Sum) != rep.ReachableStates ||
+		rep.States != 290 || rep.ReachableStates != 287 {
+		t.Errorf("core_expanded_states %d/%v, core_reachable_states %d/%v, report states %d reachable %d, want 290 and 287",
+			grid.Count, grid.Sum, reach.Count, reach.Sum, rep.States, rep.ReachableStates)
+	}
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Errorf("Stats = %+v, want 1 hit, 1 miss, 1 entry", st)
