@@ -57,19 +57,20 @@ gen-checks:
 	$(GO) run ./tools/numlint -gen-checks
 
 ## bench: run every benchmark once (smoke); pass BENCHTIME for real runs.
-## The Solver benchmarks (cached reuse, parallel sweep) additionally land
-## in BENCH_solver.json, the telemetry overhead benchmark (instrumented
-## vs uninstrumented solves) in BENCH_obs.json, and the request-scoped
-## tracing overhead benchmark (disabled / enabled / traced-context warm
-## solves) in BENCH_trace.json, for machine comparison across commits.
+## The Solver benchmarks (cached reuse, parallel sweep, one Sweep group)
+## additionally land in BENCH_solver.json, the telemetry overhead
+## benchmark (instrumented vs uninstrumented solves) in BENCH_obs.json,
+## and the request-scoped tracing overhead benchmark (disabled / enabled
+## / traced-context warm solves) in BENCH_trace.json, for machine
+## comparison across commits.
 ## The SpMV runtime benchmarks (persistent pool vs spawn-per-product,
-## fused and batched kernels) land in BENCH_spmv.json; BENCHCOUNT > 1
+## fused kernel) land in BENCH_spmv.json; BENCHCOUNT > 1
 ## repeats each benchmark so the gate's min-of-N filters scheduler noise.
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run='^$$' ./...
-	$(GO) test -bench='BenchmarkSolverCachedReuse|BenchmarkSweepParallel' \
+	$(GO) test -bench='BenchmarkSolverCachedReuse|BenchmarkSweepParallel|BenchmarkSweepGroup' \
 		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_solver.json
 	$(GO) test -bench='^BenchmarkObsOverhead$$' \
 		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_obs.json

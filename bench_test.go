@@ -445,6 +445,43 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepGroup measures one Sweep over a single shared-model
+// group: four time grids on the Figure 8 model at Δ = 100, answered by
+// one transient solve over the union of the grids. Each iteration uses
+// a fresh Solver, so the model is built and the group solved for real;
+// spmv/op is the matrix-vector products the group costs.
+func BenchmarkSweepGroup(b *testing.B) {
+	battery := PaperBattery()
+	w, err := OnOffWorkload(1, 1, 0.96)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var scenarios []Scenario
+	for i, times := range [][]float64{{5000, 8000}, {6000, 9000}, {7000, 10000}, {8000, 12000}} {
+		scenarios = append(scenarios, Scenario{
+			Name: fmt.Sprintf("grid-%d", i), Battery: battery, Workload: w,
+			DeltaAs: 100, Times: times,
+		})
+	}
+	reg := NewTelemetry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSolver(SolverOptions{Telemetry: reg})
+		results, err := s.Sweep(scenarios, SweepOptions{})
+		s.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(reg.Counter("ctmc_spmv_total").Value())/float64(b.N), "spmv/op")
+}
+
 // BenchmarkPublicAPI measures the facade end-to-end: build workload,
 // expand, solve — what a downstream user pays per call.
 func BenchmarkPublicAPI(b *testing.B) {

@@ -548,52 +548,6 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 	}, nil
 }
 
-// LifetimeCDFBatchOpts evaluates the lifetime CDF on several time grids
-// in one batched transient solve: all grids share the model's initial
-// distribution and depletion functional, and every uniformisation step
-// advances the whole batch through one multi-RHS product
-// (sparse.Pool.MulVecMulti), so B grids cost roughly one matrix
-// traversal per step instead of B. Results[k] is bit-identical to a
-// solo LifetimeCDFOpts(grids[k], so) — this is how Solver.Sweep
-// amortises scenarios that share one expanded CTMC.
-func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*Result, error) {
-	w := e.emptyIndicator()
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
-	}
-	alphas := make([][]float64, len(grids))
-	for k := range alphas {
-		alphas[k] = e.alpha
-	}
-	batch, err := u.TransientMulti(alphas, w, grids, e.transientOpts(so))
-	if err != nil {
-		return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
-	}
-	out := make([]*Result, len(batch))
-	for k, res := range batch {
-		probs := res.Values
-		for j, p := range probs {
-			// Uniformisation guarantees probabilities up to rounding;
-			// clamp the usual ±1e-15 noise.
-			probs[j] = math.Min(1, math.Max(0, p))
-		}
-		out[k] = &Result{
-			Times:           res.Times,
-			EmptyProb:       probs,
-			Iterations:      res.Iterations,
-			Rate:            res.Rate,
-			States:          e.NumStates(),
-			ReachableStates: e.ReachableStates(),
-			NNZ:             e.NNZ(),
-			FoxGlynnLeft:    res.FoxGlynnLeft,
-			FoxGlynnRight:   res.FoxGlynnRight,
-			SpMVs:           res.SpMVs,
-		}
-	}
-	return out, nil
-}
-
 // StateDistribution returns the marginal distribution over available-
 // charge levels at time t: out[j1] = Pr{Y1(t) ∈ level j1}. Useful for
 // inspecting how probability mass drains toward the empty slice.

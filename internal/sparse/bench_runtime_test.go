@@ -114,39 +114,3 @@ func BenchmarkUniformizedSpMVFused(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkUniformizedSpMVMulti compares B solo products against one
-// batched multi-vector product over the same right-hand sides — the
-// row-traversal amortisation batched sweeps buy.
-func BenchmarkUniformizedSpMVMulti(b *testing.B) {
-	m, x := benchSkewedChain(b)
-	const batch = 4
-	xs := make([][]float64, batch)
-	dsts := make([][]float64, batch)
-	for k := range xs {
-		xs[k] = append([]float64(nil), x...)
-		dsts[k] = make([]float64, m.Rows())
-	}
-	b.Run(fmt.Sprintf("solo-x%d", batch), func(b *testing.B) {
-		pool := NewPool(1)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := range xs {
-				if err := pool.MulVec(m, dsts[k], xs[k]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("batched-x%d", batch), func(b *testing.B) {
-		pool := NewPool(1)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := pool.MulVecMulti(m, dsts, xs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

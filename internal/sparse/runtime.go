@@ -16,12 +16,10 @@ import (
 // a lock + map read, too slow for the SpMV path) and are nil-safe, so a
 // metrics-free pool costs exactly a handful of nil checks per product.
 type PoolMetrics struct {
-	// SpMV counts every matrix-vector product (each right-hand side of a
-	// batched product counts once); SpMVParallel the subset dispatched
-	// across worker goroutines (large matrices only); SpMVFused the
-	// fused multiply-accumulate products; SpMVBatched the batched
-	// multi-RHS dispatches (one per MulVecMulti call).
-	SpMV, SpMVParallel, SpMVFused, SpMVBatched *obs.Counter
+	// SpMV counts every matrix-vector product; SpMVParallel the subset
+	// dispatched across worker goroutines (large matrices only);
+	// SpMVFused the fused multiply-accumulate products.
+	SpMV, SpMVParallel, SpMVFused *obs.Counter
 	// VecGets, VecPuts and VecAllocs describe the scratch-vector pool:
 	// gets and puts are deterministic per solve; allocs additionally
 	// counts gets that found no reusable buffer (sync.Pool eviction makes
@@ -49,7 +47,6 @@ func PoolMetricsFrom(reg *obs.Registry) PoolMetrics {
 		SpMV:               reg.Counter("sparse_pool_spmv_total"),
 		SpMVParallel:       reg.Counter("sparse_pool_spmv_parallel_total"),
 		SpMVFused:          reg.Counter("sparse_pool_spmv_fused_total"),
-		SpMVBatched:        reg.Counter("sparse_pool_spmv_batched_total"),
 		VecGets:            reg.Counter("sparse_pool_vec_gets_total"),
 		VecPuts:            reg.Counter("sparse_pool_vec_puts_total"),
 		VecAllocs:          reg.Counter("sparse_pool_vec_allocs_total"),
@@ -180,7 +177,6 @@ func (p *Pool) worker() {
 const (
 	opMul = iota
 	opAccum
-	opMulti
 )
 
 // spmvJob is one parallel product: an immutable task description plus a
@@ -194,9 +190,7 @@ type spmvJob struct {
 	x, dst []float64
 	acc    []float64 // opAccum
 	w      float64   // opAccum
-	xs     [][]float64
-	dsts   [][]float64 // opMulti
-	bounds []int32     // row chunk boundaries, len = chunks+1
+	bounds []int32   // row chunk boundaries, len = chunks+1
 
 	next    atomic.Int32
 	pending sync.WaitGroup // one count per chunk
@@ -235,8 +229,6 @@ func (j *spmvJob) chunk(i int) {
 		m.mulRows(j.dst, j.x, lo, hi)
 	case opAccum:
 		m.mulAccumRows(j.dst, j.x, j.acc, j.w, lo, hi)
-	case opMulti:
-		m.mulMultiRows(j.dsts, j.xs, lo, hi)
 	}
 }
 
@@ -346,42 +338,5 @@ func (p *Pool) MulVecAccum(m *CSR, dst, x, acc []float64, w float64) error {
 	p.m.SpMVParallel.Add(1)
 	p.dispatch(&spmvJob{op: opAccum, m: m, x: x, dst: dst, acc: acc, w: w, bounds: bounds})
 	check.FiniteVec("sparse.Pool.MulVecAccum", dst)
-	return nil
-}
-
-// MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side in
-// one traversal of the matrix: row data is loaded once per row and
-// reused across all k, so a batch of B products costs roughly one
-// traversal plus B accumulation streams instead of B full traversals.
-// All slices must be distinct and non-aliasing; each dsts[k] is
-// bit-identical to a solo MulVec(dsts[k], xs[k]).
-func (p *Pool) MulVecMulti(m *CSR, dsts, xs [][]float64) error {
-	if len(dsts) != len(xs) {
-		return fmt.Errorf("sparse: MulVecMulti with %d dsts for %d xs: %w", len(dsts), len(xs), ErrShape)
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	for k := range xs {
-		if len(xs[k]) != m.cols || len(dsts[k]) != m.rows {
-			return fmt.Errorf("sparse: MulVecMulti %dx%d with |xs[%d]|=%d |dsts[%d]|=%d: %w",
-				m.rows, m.cols, k, len(xs[k]), k, len(dsts[k]), ErrShape)
-		}
-	}
-	p.m.SpMV.Add(int64(len(xs)))
-	p.m.SpMVBatched.Add(1)
-	bounds, ok := p.parallel(m)
-	if !ok {
-		m.mulMultiRows(dsts, xs, 0, m.rows)
-		for k := range dsts {
-			check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
-		}
-		return nil
-	}
-	p.m.SpMVParallel.Add(1)
-	p.dispatch(&spmvJob{op: opMulti, m: m, xs: xs, dsts: dsts, bounds: bounds})
-	for k := range dsts {
-		check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
-	}
 	return nil
 }

@@ -232,64 +232,11 @@ func TestMulVecAccumMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestMulVecMultiMatchesSolo checks the batched kernel against B solo
-// MulVec calls, bit for bit, on serial and parallel paths and for batch
-// sizes around the kernel's unrolling decisions.
-func TestMulVecMultiMatchesSolo(t *testing.T) {
-	const rows = 4800
-	m := buildStressCSR(t, rows, 4)
-	for _, batch := range []int{1, 2, 3, 7} {
-		xs := make([][]float64, batch)
-		want := make([][]float64, batch)
-		for k := range xs {
-			xs[k] = make([]float64, rows)
-			for i := range xs[k] {
-				xs[k][i] = math.Sin(float64(i*(k+1))) + float64(k)
-			}
-			want[k] = make([]float64, rows)
-			if err := m.MulVec(want[k], xs[k]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		verify := func(label string, dsts [][]float64) {
-			t.Helper()
-			for k := range dsts {
-				for i := range dsts[k] {
-					if dsts[k][i] != want[k][i] {
-						t.Fatalf("%s batch=%d: dsts[%d][%d] = %v, want %v",
-							label, batch, k, i, dsts[k][i], want[k][i])
-					}
-				}
-			}
-		}
-		dsts := make([][]float64, batch)
-		for k := range dsts {
-			dsts[k] = make([]float64, rows)
-		}
-		if err := m.MulVecMulti(dsts, xs); err != nil {
-			t.Fatalf("serial MulVecMulti: %v", err)
-		}
-		verify("serial", dsts)
-
-		pool := NewPool(4)
-		for k := range dsts {
-			for i := range dsts[k] {
-				dsts[k][i] = math.NaN()
-			}
-		}
-		if err := pool.MulVecMulti(m, dsts, xs); err != nil {
-			t.Fatalf("parallel MulVecMulti: %v", err)
-		}
-		verify("parallel", dsts)
-		pool.Close()
-	}
-}
-
-// TestPoolMulVecMultiConcurrent drives batched and single products
+// TestPoolMixedKernelsConcurrent drives plain and fused products
 // through one pool from many goroutines at once — the mixed traffic a
-// daemon produces when batched sweeps and solo solves overlap. Run
-// under -race.
-func TestPoolMulVecMultiConcurrent(t *testing.T) {
+// daemon produces when functional solves and single-time distribution
+// solves overlap. Run under -race.
+func TestPoolMixedKernelsConcurrent(t *testing.T) {
 	const rows = 4600
 	m := buildStressCSR(t, rows, 4)
 	x := make([]float64, rows)
@@ -308,30 +255,17 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 0 {
-				dsts := [][]float64{make([]float64, rows), make([]float64, rows)}
-				xs := [][]float64{x, x}
-				for it := 0; it < 20; it++ {
-					if err := pool.MulVecMulti(m, dsts, xs); err != nil {
-						t.Errorf("MulVecMulti: %v", err)
-						return
-					}
-					for k := range dsts {
-						for i := range dsts[k] {
-							if dsts[k][i] != want[i] {
-								t.Errorf("dsts[%d][%d] = %v, want %v", k, i, dsts[k][i], want[i])
-								return
-							}
-						}
-					}
-				}
-				return
-			}
 			dst := make([]float64, rows)
 			acc := make([]float64, rows)
 			for it := 0; it < 20; it++ {
-				if err := pool.MulVecAccum(m, dst, x, acc, 0); err != nil {
-					t.Errorf("MulVecAccum: %v", err)
+				var err error
+				if g%2 == 0 {
+					err = pool.MulVec(m, dst, x)
+				} else {
+					err = pool.MulVecAccum(m, dst, x, acc, 0)
+				}
+				if err != nil {
+					t.Errorf("product %d: %v", g, err)
 					return
 				}
 				for i := range dst {
@@ -346,8 +280,8 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKernelShapeErrors covers the argument validation of the new
-// kernels on both the serial and pooled entry points.
+// TestKernelShapeErrors covers the argument validation of the fused
+// kernel on both the serial and pooled entry points.
 func TestKernelShapeErrors(t *testing.T) {
 	b := NewBuilder(4, 4, 0)
 	b.Add(0, 0, 1)
@@ -366,17 +300,11 @@ func TestKernelShapeErrors(t *testing.T) {
 		{"serial accum dst", m.MulVecAccum(bad, good, good, 1)},
 		{"serial accum acc", m.MulVecAccum(good, good, bad, 1)},
 		{"pool accum x", pool.MulVecAccum(m, good, bad, good, 1)},
-		{"serial multi ragged", m.MulVecMulti([][]float64{good}, [][]float64{bad})},
-		{"serial multi arity", m.MulVecMulti([][]float64{good, good}, [][]float64{good})},
-		{"pool multi ragged", pool.MulVecMulti(m, [][]float64{good}, [][]float64{bad})},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, ErrShape) {
 			t.Errorf("%s: err = %v, want ErrShape", c.name, c.err)
 		}
-	}
-	if err := m.MulVecMulti(nil, nil); err != nil {
-		t.Errorf("empty batch: %v, want nil", err)
 	}
 }
 
@@ -483,8 +411,8 @@ func TestRowPartitionCacheAndInvalidation(t *testing.T) {
 }
 
 // TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotations on
-// the new serial kernels: MulVecAccum and MulVecMulti must not allocate
-// per call — they run once per uniformisation step.
+// the fused serial kernel: MulVecAccum must not allocate per call — it
+// runs once per uniformisation step.
 func TestFusedKernelsZeroAlloc(t *testing.T) {
 	b := NewBuilder(64, 64, 0)
 	for i := 0; i < 64; i++ {
@@ -501,17 +429,12 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%5) + 0.25
 	}
-	dsts := [][]float64{make([]float64, 64), make([]float64, 64)}
-	xs := [][]float64{x, x}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := m.MulVecAccum(dst, x, acc, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.MulVecMulti(dsts, xs); err != nil {
-			t.Fatal(err)
-		}
 	})
 	if allocs != 0 {
-		t.Errorf("fused kernels allocate %v per run, want 0", allocs)
+		t.Errorf("fused kernel allocates %v per run, want 0", allocs)
 	}
 }

@@ -339,34 +339,6 @@ func (m *CSR) MulVecAccum(dst, x, acc []float64, w float64) error {
 	return nil
 }
 
-// MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side in a
-// single traversal of the matrix — the serial batched kernel behind
-// Pool.MulVecMulti. Row data (column indices and values) is loaded once
-// per row and reused across all right-hand sides. Each dsts[k] is
-// bit-identical to a solo MulVec(dsts[k], xs[k]).
-//
-//numlint:hotpath
-func (m *CSR) MulVecMulti(dsts, xs [][]float64) error {
-	if len(dsts) != len(xs) {
-		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
-		return fmt.Errorf("sparse: MulVecMulti with %d dsts for %d xs: %w", len(dsts), len(xs), ErrShape)
-	}
-	for k := range xs {
-		if len(xs[k]) != m.cols || len(dsts[k]) != m.rows {
-			//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
-			return fmt.Errorf("sparse: MulVecMulti %dx%d with |xs[%d]|=%d |dsts[%d]|=%d: %w",
-				m.rows, m.cols, k, len(xs[k]), k, len(dsts[k]), ErrShape)
-		}
-	}
-	m.mulMultiRows(dsts, xs, 0, m.rows)
-	if check.Enabled {
-		for k := range dsts {
-			check.FiniteVec("sparse.CSR.MulVecMulti", dsts[k])
-		}
-	}
-	return nil
-}
-
 // mulRows is the plain SpMV kernel over one row range. The CSR arrays
 // are hoisted into locals: indexing receiver fields inside the loop
 // defeats bounds-check elimination (the compiler must assume dst writes
@@ -401,21 +373,6 @@ func (m *CSR) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
 		}
 		dst[r] = sum
 		acc[r] += w * sum
-	}
-}
-
-// mulMultiRows is the batched multi-RHS kernel over one row range: one
-// full sweep of the range per right-hand side, so each (k, row)
-// accumulates in exactly MulVec's entry order (bit-identity). Per-row
-// and row-tiled interleavings were measured and rejected: the matrix
-// arrays stream sequentially (the prefetcher hides them) while the
-// gathers into x do not, and interleaving k right-hand sides multiplies
-// the gather working set by k — ~2x slower on a 50k-row skewed chain.
-// The batch's savings come from the pool layer instead: one dispatch,
-// one partition lookup, and one task covers every right-hand side.
-func (m *CSR) mulMultiRows(dsts, xs [][]float64, lo, hi int) {
-	for k := range xs {
-		m.mulRows(dsts[k], xs[k], lo, hi)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -368,6 +369,22 @@ func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (*core.E
 	return e, key, hit, buildDur, nil
 }
 
+// cdfReport is the SolveReport of a lifetime-CDF solve, without the
+// per-call durations.
+func cdfReport(res *core.Result, hit bool) SolveReport {
+	return SolveReport{
+		States:             res.States,
+		ReachableStates:    res.ReachableStates,
+		Transitions:        res.NNZ,
+		Iterations:         res.Iterations,
+		SpMVs:              res.SpMVs,
+		FoxGlynnLeft:       res.FoxGlynnLeft,
+		FoxGlynnRight:      res.FoxGlynnRight,
+		UniformizationRate: res.Rate,
+		ModelCacheHit:      hit,
+	}
+}
+
 // LifetimeDistribution computes the paper's Markovian approximation of
 // the lifetime CDF at the given times (seconds, ascending), reusing the
 // cached expanded CTMC for (battery, workload, opts.Delta) when one
@@ -413,17 +430,7 @@ func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, o
 		Transitions:     res.NNZ,
 		Iterations:      res.Iterations,
 	}
-	rep := SolveReport{
-		States:             res.States,
-		ReachableStates:    res.ReachableStates,
-		Transitions:        res.NNZ,
-		Iterations:         res.Iterations,
-		SpMVs:              res.SpMVs,
-		FoxGlynnLeft:       res.FoxGlynnLeft,
-		FoxGlynnRight:      res.FoxGlynnRight,
-		UniformizationRate: res.Rate,
-		ModelCacheHit:      hit,
-	}
+	rep := cdfReport(res, hit)
 	if opts.Report != nil {
 		rep.BuildDuration = buildDur
 		rep.SolveDuration = time.Since(start)
@@ -438,81 +445,77 @@ func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, o
 	return d, nil
 }
 
-// lifetimeDistributionBatch solves the lifetime CDF for several time
-// grids against one (battery, workload, Δ) model in a single batched
-// transient solve (core.LifetimeCDFBatchOpts), after answering what it
-// can from the result memo. Distinct grids traverse the expanded matrix
-// together; duplicate grids are solved once. Each returned distribution
-// is bit-identical to a solo LifetimeDistribution call.
+// lifetimeDistributionGroup solves the lifetime CDF for several time
+// grids against one (battery, workload, Δ) model, after answering what
+// it can from the result memo. Uniformisation shares one iterate
+// sequence across all time points, so every grid the memo misses is
+// read off a single LifetimeCDFOpts solve over the sorted union of
+// those grids. Each returned distribution is bit-identical to a solo
+// LifetimeDistribution call; its Iterations, and the SolveReport
+// memoised with it, describe the shared solve.
 //
 // On any failure it returns nil without touching the solve counters or
-// the memo: a batch error has no per-grid attribution, so the caller
-// (Sweep) falls back to solo solves, which re-run the counting and
-// report exact per-scenario errors.
-func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool) []*Distribution {
+// the memo: the union solve has no per-grid attribution (its largest t
+// drives ErrIterationLimit, and it would accept an empty or unsorted
+// member grid), so the caller (Sweep) falls back to solo solves, which
+// re-run the counting and report exact per-scenario errors.
+func (s *Solver) lifetimeDistributionGroup(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool) []*Distribution {
 	e, modelKey, hit, _, err := s.expanded(b, w, opts)
 	if err != nil {
 		return nil
 	}
 	dists := make([]*Distribution, len(grids))
+	keys := make([]resultKey, len(grids))
 	var (
-		missKeys  []resultKey
-		missGrids [][]float64
-		missFor   [][]int // batch positions sharing missGrids[i]
-		memoHits  int64
+		union    []float64
+		memoHits int64
 	)
-	seen := make(map[[sha256.Size]byte]int)
 	for k, grid := range grids {
-		key, _ := memoKey(kindCDF, modelKey, grid, opts) // Sweep sets no Progress: always memoable
-		if v, ok := s.results.Get(key); ok {
+		if len(grid) == 0 || !slices.IsSorted(grid) {
+			return nil
+		}
+		keys[k], _ = memoKey(kindCDF, modelKey, grid, opts) // Sweep sets no Progress: always memoable
+		if v, ok := s.results.Get(keys[k]); ok {
 			memoHits++
 			dists[k] = v.(memoEntry).val.(*Distribution).clone()
 			continue
 		}
-		if i, dup := seen[key.query]; dup {
-			missFor[i] = append(missFor[i], k)
-			continue
-		}
-		seen[key.query] = len(missGrids)
-		missKeys = append(missKeys, key)
-		missGrids = append(missGrids, grid)
-		missFor = append(missFor, []int{k})
+		union = append(union, grid...)
 	}
-	if len(missGrids) > 0 {
+	if len(union) > 0 {
+		slices.Sort(union)
+		union = slices.Compact(union)
 		ctx, span := s.solveSpan(opts.Context, "cdf_batch")
 		opts.Context = ctx
-		ress, err := e.LifetimeCDFBatchOpts(missGrids, s.solveOptions(opts, pool))
+		res, err := e.LifetimeCDFOpts(union, s.solveOptions(opts, pool))
 		endSolveSpan(span, err)
 		if err != nil {
 			return nil
 		}
-		for i, res := range ress {
+		rep := cdfReport(res, hit)
+		for k, grid := range grids {
+			if dists[k] != nil {
+				continue
+			}
+			probs := make([]float64, len(grid))
+			for j, t := range grid {
+				i, _ := slices.BinarySearch(union, t)
+				probs[j] = res.EmptyProb[i]
+			}
 			d := &Distribution{
-				Times:           res.Times,
-				EmptyProb:       res.EmptyProb,
+				Times:           append([]float64(nil), grid...),
+				EmptyProb:       probs,
 				States:          res.States,
 				ReachableStates: res.ReachableStates,
 				Transitions:     res.NNZ,
 				Iterations:      res.Iterations,
 			}
-			s.results.Put(missKeys[i], memoEntry{val: d, rep: SolveReport{
-				States:             res.States,
-				ReachableStates:    res.ReachableStates,
-				Transitions:        res.NNZ,
-				Iterations:         res.Iterations,
-				SpMVs:              res.SpMVs,
-				FoxGlynnLeft:       res.FoxGlynnLeft,
-				FoxGlynnRight:      res.FoxGlynnRight,
-				UniformizationRate: res.Rate,
-				ModelCacheHit:      hit,
-			}})
-			for _, k := range missFor[i] {
-				dists[k] = d.clone()
-			}
+			s.results.Put(keys[k], memoEntry{val: d, rep: rep})
+			dists[k] = d.clone()
 		}
 	}
-	// Counters commit only once the whole batch is known good, so the
-	// solo fallback after a failed batch does not double-count.
+	// Counters commit only once the whole group is known good, so the
+	// solo fallback after a failed union solve does not double-count.
 	s.solves.Add(int64(len(grids)))
 	s.memoHits.Add(memoHits)
 	return dists
@@ -876,8 +879,8 @@ type SweepOptions struct {
 
 // sweepGroups partitions scenario indexes by expanded-model identity
 // (the engine fingerprint over battery, workload and Δ): scenarios in
-// one group share an expanded CTMC and are solved as one batched
-// multi-grid transient. Scenarios that cannot be fingerprinted (nil
+// one group share an expanded CTMC and are answered by one transient
+// solve over the union of their time grids. Scenarios that cannot be fingerprinted (nil
 // workload, non-positive Δ) become singleton groups so the solo path
 // reports their errors exactly. Group order follows first appearance,
 // and indexes within a group stay in input order.
@@ -908,13 +911,18 @@ func sweepGroups(scenarios []Scenario) [][]int {
 // pool, reusing the solver's model cache across scenarios (a Δ-sweep
 // over one model expands each distinct grid once, and repeated cells
 // not at all). Scenarios that share one expanded CTMC — same battery,
-// workload and Δ, differing only in time grids — are additionally
-// solved as one batched multi-vector transient, so the matrix is
-// traversed once per uniformisation step for the whole group. Results
-// are returned in input order and are bit-identical to solving each
-// scenario sequentially. The returned error is non-nil only for empty
-// input or a cancelled context; per-scenario failures land in
-// SweepResult.Err.
+// workload and Δ, differing only in time grids — are answered by one
+// transient solve over the sorted union of their grids, so the group
+// costs what its longest grid costs. Results are returned in input
+// order, and every curve is bit-identical to solving its scenario
+// alone. A grouped answer's Distribution.Iterations (and the
+// SolveReport memoised with it) count the shared solve, which is the
+// work actually spent on it; the ctmc_solves_total and
+// ctmc_uniformization_iterations_total counters count the group once. If the shared solve fails (say an
+// iteration budget that only the longest grid exceeds), the group
+// falls back to solo solves, so every scenario gets its own answer or
+// error. The returned error is non-nil only for empty input or a
+// cancelled context; per-scenario failures land in SweepResult.Err.
 func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("%w: no scenarios", ErrBadArgument)
@@ -982,14 +990,14 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 					}
 				}
 				cancelled := ctx != nil && ctx.Err() != nil
-				var batched []*Distribution
+				var grouped []*Distribution
 				if !cancelled && len(group) > 1 {
 					first := scenarios[group[0]]
 					grids := make([][]float64, len(group))
 					for j, idx := range group {
 						grids[j] = scenarios[idx].Times
 					}
-					batched = s.lifetimeDistributionBatch(first.Battery, first.Workload, grids, AnalysisOptions{
+					grouped = s.lifetimeDistributionGroup(first.Battery, first.Workload, grids, AnalysisOptions{
 						Delta:         first.DeltaAs,
 						Epsilon:       opts.Epsilon,
 						MaxIterations: opts.MaxIterations,
@@ -1002,8 +1010,8 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 					switch {
 					case cancelled:
 						r.Err = ctx.Err()
-					case batched != nil:
-						r.Distribution = batched[j]
+					case grouped != nil:
+						r.Distribution = grouped[j]
 					default:
 						r.Distribution, r.Err = s.lifetimeDistribution(sc.Battery, sc.Workload, sc.Times, AnalysisOptions{
 							Delta:         sc.DeltaAs,
