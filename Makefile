@@ -57,12 +57,12 @@ gen-checks:
 	$(GO) run ./tools/numlint -gen-checks
 
 ## bench: run every benchmark once (smoke); pass BENCHTIME for real runs.
-## The Solver benchmarks (cached reuse, parallel sweep, one Sweep group)
-## additionally land in BENCH_solver.json, the telemetry overhead
-## benchmark (instrumented vs uninstrumented solves) in BENCH_obs.json,
-## and the request-scoped tracing overhead benchmark (disabled / enabled
-## / traced-context warm solves) in BENCH_trace.json, for machine
-## comparison across commits.
+## The Solver benchmarks (cached reuse, parallel sweep, one Sweep group,
+## one-well lifetime CDF) additionally land in BENCH_solver.json, the
+## telemetry overhead benchmark (instrumented vs uninstrumented solves)
+## in BENCH_obs.json, and the request-scoped tracing overhead benchmark
+## (disabled / enabled / traced-context warm solves) in BENCH_trace.json,
+## for machine comparison across commits.
 ## The SpMV runtime benchmarks (persistent pool vs spawn-per-product,
 ## fused kernel) land in BENCH_spmv.json; BENCHCOUNT > 1
 ## repeats each benchmark so the gate's min-of-N filters scheduler noise.
@@ -70,7 +70,7 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run='^$$' ./...
-	$(GO) test -bench='BenchmarkSolverCachedReuse|BenchmarkSweepParallel|BenchmarkSweepGroup' \
+	$(GO) test -bench='BenchmarkSolverCachedReuse|BenchmarkSweepParallel|BenchmarkSweepGroup|BenchmarkLifetimeCDFOneWell' \
 		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_solver.json
 	$(GO) test -bench='^BenchmarkObsOverhead$$' \
 		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_obs.json

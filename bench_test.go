@@ -482,6 +482,37 @@ func BenchmarkSweepGroup(b *testing.B) {
 	b.ReportMetric(float64(reg.Counter("ctmc_spmv_total").Value())/float64(b.N), "spmv/op")
 }
 
+// BenchmarkLifetimeCDFOneWell measures one cold lifetime-CDF solve on
+// the Figure 7 configuration (c = 1, Δ = 5 As, t = 6000…20000 s every
+// 250 s): the chain whose live band is narrowest, so swept-nnz/op — the
+// non-zeros the products actually streamed through — sits far below
+// iterations × nnz. Each iteration uses a fresh Solver.
+func BenchmarkLifetimeCDFOneWell(b *testing.B) {
+	battery := Battery{CapacityAs: 7200, AvailableFraction: 1}
+	w, err := OnOffWorkload(1, 1, 0.96)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var times []float64
+	for t := 6000.0; t <= 20000; t += 250 {
+		times = append(times, t)
+	}
+	var swept int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSolver(SolverOptions{})
+		var rep SolveReport
+		_, err := s.LifetimeDistribution(battery, w, times, AnalysisOptions{Delta: 5, Report: &rep})
+		s.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		swept += rep.SweptNNZ
+	}
+	b.ReportMetric(float64(swept)/float64(b.N), "swept-nnz/op")
+}
+
 // BenchmarkPublicAPI measures the facade end-to-end: build workload,
 // expand, solve — what a downstream user pays per call.
 func BenchmarkPublicAPI(b *testing.B) {

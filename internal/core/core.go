@@ -506,6 +506,13 @@ type Result struct {
 	// products. See ctmc.Result for the exact semantics.
 	FoxGlynnLeft, FoxGlynnRight int
 	SpMVs                       int
+	// SweptNNZ counts the non-zeros the products streamed through and
+	// DroppedMass the probability mass trimmed off the live band. The
+	// trimming only lowers EmptyProb, by at most DroppedMass; each value
+	// lies within Epsilon + DroppedMass of the exact value of the
+	// Δ-chain. See ctmc.Result.
+	SweptNNZ    int64
+	DroppedMass float64
 }
 
 // LifetimeCDF computes Pr{battery empty at t} — the approximation of
@@ -545,6 +552,8 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 		FoxGlynnLeft:    res.FoxGlynnLeft,
 		FoxGlynnRight:   res.FoxGlynnRight,
 		SpMVs:           res.SpMVs,
+		SweptNNZ:        res.SweptNNZ,
+		DroppedMass:     res.DroppedMass,
 	}, nil
 }
 

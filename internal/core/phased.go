@@ -129,6 +129,9 @@ func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []
 		States:          first.NumStates(),
 		ReachableStates: first.ReachableStates(),
 		NNZ:             first.NNZ(),
+		SpMVs:           res.SpMVs,
+		SweptNNZ:        res.SweptNNZ,
+		DroppedMass:     res.DroppedMass,
 	}, nil
 }
 

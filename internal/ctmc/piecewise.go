@@ -84,6 +84,9 @@ func PiecewiseTransient(phases []Phase, alpha, times []float64, opts TransientOp
 			return nil, fmt.Errorf("ctmc: phase %d: %w", pi, err)
 		}
 		out.Iterations += res.Iterations
+		out.SpMVs += res.SpMVs
+		out.SweptNNZ += res.SweptNNZ
+		out.DroppedMass += res.DroppedMass
 		if res.Rate > out.Rate {
 			out.Rate = res.Rate
 		}

@@ -45,12 +45,14 @@ type TransientOptions struct {
 	// strictly positive self-loop probabilities, which improves the
 	// convergence behaviour of periodic chains.
 	UniformizationSlack float64
-	// DisableSteadyStateDetection turns off the early-termination check:
-	// when the iteration vector v_n stops changing (the uniformised DTMC
-	// has converged — e.g. all probability mass has been absorbed), the
-	// remaining Poisson weight is folded in analytically and the
-	// iteration stops. Detection is sound up to the transient epsilon;
-	// disable it to force the full Fox–Glynn window.
+	// DisableSteadyStateDetection turns off early termination, forcing
+	// the full Fox–Glynn window. On a chain with absorbing states the
+	// solve stops once no non-absorbing state carries mass: the iterate
+	// is then exactly stationary, so folding the remaining Poisson weight
+	// onto it adds no error. On a chain without absorbing states the
+	// solve stops when two successive iterates differ by at most Epsilon
+	// in every entry (checked every 16 steps); that test is a heuristic
+	// whose error is not covered by the Epsilon bound.
 	DisableSteadyStateDetection bool
 	// OnIteration, when non-nil, is invoked after every uniformisation
 	// step with the current and total iteration count. It is called on
@@ -114,6 +116,17 @@ type Result struct {
 	// equals Iterations for a full solve and is kept separate so
 	// higher layers can aggregate operator work without re-deriving it.
 	SpMVs int
+	// SweptNNZ counts the non-zeros of Pᵀ the products actually streamed
+	// through: each product covers only the absorbing prefix and the
+	// live band of the iterate (see Uniformized).
+	SweptNNZ int64
+	// DroppedMass is the total probability mass trimmed off the edges of
+	// the live band. Trimming only removes non-negative mass, so for a
+	// functional w with entries in [0, 1] it lowers each value by at most
+	// DroppedMass against the full-window solve on the same Poisson
+	// weights, and never raises it: each value lies within
+	// Epsilon + DroppedMass of the exact one.
+	DroppedMass float64
 }
 
 // Uniformized is a reusable uniformisation operator for one generator:
@@ -124,10 +137,28 @@ type Result struct {
 // chain should construct the operator once and call Transient
 // repeatedly. A Uniformized is immutable apart from the internally
 // synchronised weight cache and is safe for concurrent use.
+//
+// A solve multiplies only the rows that can carry mass: the absorbing
+// prefix (the leading rows with no off-diagonal generator entry — the
+// j1 = 0 slice of an expanded battery chain) and one contiguous live
+// band [lo, hi) above it. Each step widens the band, in O(1) from reach
+// arrays built here, to every state its rows can reach in one
+// transition, and trims entries below δ = ε/(n·2^16) off both edges
+// into Result.DroppedMass.
 type Uniformized struct {
 	gen *sparse.CSR
 	q   float64
 	pt  *sparse.CSR // nil when q == 0 (no transitions anywhere)
+
+	// prefix counts the leading absorbing rows; absorbing reports
+	// whether any row is absorbing.
+	prefix    int
+	absorbing bool
+	// reachLo[r] is the lowest state any row ≥ r reaches in one
+	// transition (itself included) — a suffix minimum; reachHi[r] the
+	// highest state any row ≤ r reaches — a prefix maximum. A band
+	// [lo, hi) therefore spreads to at most [reachLo[lo], reachHi[hi-1]].
+	reachLo, reachHi []int32
 
 	mu      sync.RWMutex
 	weights map[weightKey]*foxglynn.Weights
@@ -151,7 +182,28 @@ func NewUniformized(gen *sparse.CSR, opts TransientOptions) (*Uniformized, error
 	u := &Uniformized{
 		gen:     gen,
 		q:       q,
+		reachLo: make([]int32, n),
+		reachHi: make([]int32, n),
 		weights: make(map[weightKey]*foxglynn.Weights),
+	}
+	u.prefix = n
+	for r := 0; r < n; r++ {
+		lo, hi := r, r
+		gen.Row(r, func(c int, _ float64) {
+			lo, hi = min(lo, c), max(hi, c)
+		})
+		u.reachLo[r], u.reachHi[r] = int32(lo), int32(hi)
+		if lo == r && hi == r {
+			u.absorbing = true
+		} else if u.prefix == n {
+			u.prefix = r
+		}
+	}
+	for r := 1; r < n; r++ {
+		u.reachHi[r] = max(u.reachHi[r], u.reachHi[r-1])
+	}
+	for r := n - 2; r >= 0; r-- {
+		u.reachLo[r] = min(u.reachLo[r], u.reachLo[r+1])
 	}
 	if q > 0 {
 		pt, err := uniformizedTransposed(gen, q)
@@ -240,6 +292,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 	reg.Counter("ctmc_solves_total").Inc()
 	reg.Counter("ctmc_uniformization_iterations_total").Add(int64(res.Iterations))
 	reg.Counter("ctmc_spmv_total").Add(int64(res.SpMVs))
+	reg.Counter("ctmc_swept_nnz_total").Add(res.SweptNNZ)
 	if res.FoxGlynnRight > 0 {
 		reg.Histogram("ctmc_foxglynn_window").Observe(float64(res.FoxGlynnRight - res.FoxGlynnLeft + 1))
 	}
@@ -247,7 +300,9 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		obs.Int("iterations", int64(res.Iterations)),
 		obs.Int("foxglynn_left", int64(res.FoxGlynnLeft)),
 		obs.Int("foxglynn_right", int64(res.FoxGlynnRight)),
-		obs.Float("rate", res.Rate))
+		obs.Float("rate", res.Rate),
+		obs.Int("swept_nnz", res.SweptNNZ),
+		obs.Float("dropped_mass", res.DroppedMass))
 	return res, nil
 }
 
@@ -331,6 +386,23 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		res.Values = make([]float64, len(times))
 	}
 
+	// The iterate is zero outside the absorbing prefix [0, prefix) and
+	// the live band [lo, hi); next holds the previous iterate, zero
+	// outside the prefix and [nlo, nhi).
+	prefix := u.prefix
+	lo, hi := liveBand(alpha, prefix)
+	nlo, nhi := lo, lo
+	// δ depends only on ε and the state count, never on the time grid,
+	// so solves over different grids trim the same entries.
+	delta := opts.epsilon() / (float64(n) * (1 << 16))
+
+	// A functional is folded over its support only: the iterate is zero
+	// wherever the support does not reach.
+	wlo, whi := 0, n
+	if w != nil {
+		wlo, whi = liveBand(w, 0)
+	}
+
 	// foldIn accumulates weight·v into every requested time point.
 	foldIn := func(it int, v []float64, tailMass bool) {
 		if w == nil {
@@ -341,8 +413,11 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 				}
 				if p > 0 {
 					dst := res.Distributions[k]
-					for i, vi := range v {
+					for i, vi := range v[:prefix] {
 						dst[i] += p * vi
+					}
+					for i := lo; i < hi; i++ {
+						dst[i] += p * v[i]
 					}
 				}
 			}
@@ -357,8 +432,8 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 			}
 			if p > 0 {
 				if !computed {
-					for i, vi := range v {
-						s += w[i] * vi
+					for i := wlo; i < whi; i++ {
+						s += w[i] * v[i]
 					}
 					computed = true
 				}
@@ -367,9 +442,34 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		}
 	}
 
-	// Steady-state detection: once v_{n+1} ≈ v_n the DTMC has converged
-	// (all further powers are equal up to the tolerance), so the rest
-	// of every Poisson window collapses onto the current vector.
+	// product computes next = Pᵀ·v over the prefix and the band
+	// [blo, bhi) — fused with acc += p·next when acc is non-nil — as one
+	// ranged call when the two touch.
+	product := func(next, v, acc []float64, p float64, blo, bhi int) error {
+		mul := func(lo, hi int) error {
+			if lo == hi {
+				return nil
+			}
+			res.SweptNNZ += int64(u.pt.RangeNNZ(lo, hi))
+			if acc != nil {
+				return pool.MulVecAccum(u.pt, next, v, acc, p, lo, hi)
+			}
+			return pool.MulVecRange(u.pt, next, v, lo, hi)
+		}
+		if blo == prefix {
+			return mul(0, bhi)
+		}
+		if err := mul(0, prefix); err != nil {
+			return err
+		}
+		return mul(blo, bhi)
+	}
+
+	// Steady-state detection for chains without absorbing states: once
+	// v_{n+1} ≈ v_n the DTMC has converged, so the rest of every Poisson
+	// window collapses onto the current vector. Chains with absorbing
+	// states use the exact test below instead.
+	detect := !opts.DisableSteadyStateDetection
 	ssdTol := opts.epsilon()
 	checkEvery := 16
 
@@ -406,15 +506,44 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		if it == maxRight {
 			break
 		}
-		ssdNow := !opts.DisableSteadyStateDetection && it%checkEvery == 0
+		// Trim the band's edges once the iterate has been folded in, so
+		// fused and unfused solves drop the same entries.
+		for lo < hi && v[lo] < delta {
+			res.DroppedMass += v[lo]
+			v[lo] = 0
+			lo++
+		}
+		for hi > lo && v[hi-1] < delta {
+			res.DroppedMass += v[hi-1]
+			v[hi-1] = 0
+			hi--
+		}
+		if detect && u.absorbing && u.settled(v, lo, hi) {
+			// Only absorbing states carry mass, so v_m = v_it for every
+			// m > it: fold the remaining window mass in one shot.
+			foldIn(it+1, v, true)
+			return validatedResult(res), nil
+		}
+		// Widen the band to every state its rows reach in one step.
+		blo, bhi := prefix, prefix
+		if lo < hi {
+			blo, bhi = max(prefix, int(u.reachLo[lo])), int(u.reachHi[hi-1])+1
+		}
+		ssdNow := detect && !u.absorbing && it%checkEvery == 0
+		var acc []float64
+		var p float64
 		if fused && !ssdNow {
-			if err := pool.MulVecAccum(u.pt, next, v, res.Distributions[0], weights[0].At(it+1)); err != nil {
-				return nil, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
-			}
+			acc, p = res.Distributions[0], weights[0].At(it+1)
 			foldedAhead = true
-		} else if err := pool.MulVec(u.pt, next, v); err != nil {
+		}
+		if err := product(next, v, acc, p, blo, bhi); err != nil {
 			return nil, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
 		}
+		// Zero what the previous iterate left outside the new band.
+		clear(next[nlo:max(nlo, min(nhi, blo))])
+		clear(next[max(nlo, min(nhi, bhi)):nhi])
+		nlo, nhi = lo, hi
+		lo, hi = blo, bhi
 		if ssdNow {
 			maxDelta := 0.0
 			for i := range v {
@@ -439,6 +568,41 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		}
 	}
 	return validatedResult(res), nil
+}
+
+// liveBand returns the smallest range [lo, hi) at or above prefix that
+// holds every non-zero of v there; lo == hi when there is none.
+func liveBand(v []float64, prefix int) (lo, hi int) {
+	lo, hi = prefix, len(v)
+	for lo < hi && v[lo] == 0 {
+		lo++
+	}
+	for hi > lo && v[hi-1] == 0 {
+		hi--
+	}
+	return lo, hi
+}
+
+// settled reports whether no non-absorbing row of [lo, hi) carries mass
+// in v. The band's edges carry at least δ after trimming, so on chains
+// whose absorbing rows all lie in the prefix this returns at its first
+// row unless the band is empty.
+func (u *Uniformized) settled(v []float64, lo, hi int) bool {
+	for r := lo; r < hi; r++ {
+		if v[r] != 0 && u.leaves(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// leaves reports whether generator row r has an off-diagonal entry.
+func (u *Uniformized) leaves(r int) bool {
+	off := false
+	u.gen.Row(r, func(c int, _ float64) {
+		off = off || c != r
+	})
+	return off
 }
 
 // validatedResult asserts, under the debugchecks build tag, that every

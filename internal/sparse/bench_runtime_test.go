@@ -108,7 +108,7 @@ func BenchmarkUniformizedSpMVFused(b *testing.B) {
 		defer pool.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := pool.MulVecAccum(m, dst, x, acc, 0.5); err != nil {
+			if err := pool.MulVecAccum(m, dst, x, acc, 0.5, 0, m.Rows()); err != nil {
 				b.Fatal(err)
 			}
 		}

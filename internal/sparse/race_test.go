@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -121,4 +122,59 @@ func TestPoolMulVecConcurrentPools(t *testing.T) {
 		}(g%4 + 1)
 	}
 	wg.Wait()
+}
+
+// TestPoolRangedConcurrent drives ranged products over overlapping row
+// ranges of one matrix through one pool from many goroutines, each into
+// its own dst, and checks every row against the serial product. Run
+// under -race.
+func TestPoolRangedConcurrent(t *testing.T) {
+	const rows = 12000
+	m := buildStressCSR(t, rows, 4)
+	pool := NewPool(4)
+	defer pool.Close()
+	x := make([]float64, rows)
+	for i := range x {
+		x[i] = math.Sin(float64(i)) + 2
+	}
+	want := make([]float64, rows)
+	if err := m.MulVec(want, x); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			dst := make([]float64, rows)
+			acc := make([]float64, rows)
+			for it := 0; it < 15; it++ {
+				lo := rng.Intn(rows / 2)
+				hi := lo + rng.Intn(rows-lo+1)
+				var err error
+				if g%2 == 0 {
+					err = pool.MulVecRange(m, dst, x, lo, hi)
+				} else {
+					err = pool.MulVecAccum(m, dst, x, acc, 0.5, lo, hi)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d: %w", g, err)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					if dst[i] != want[i] {
+						errs <- fmt.Errorf("goroutine %d [%d,%d): dst[%d] = %v, want %v", g, lo, hi, i, dst[i], want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +57,7 @@ func PoolMetricsFrom(reg *obs.Registry) PoolMetrics {
 	}
 }
 
-// parallelThreshold is the matrix size below which products stay on the
+// parallelThreshold is the row count below which a product stays on the
 // calling goroutine: the fork cost of a parallel dispatch only pays for
 // itself once a product is a few hundred microseconds of work.
 const parallelThreshold = 4096
@@ -191,6 +192,7 @@ type spmvJob struct {
 	acc    []float64 // opAccum
 	w      float64   // opAccum
 	bounds []int32   // row chunk boundaries, len = chunks+1
+	lo, hi int       // the product's row range; chunks are clipped to it
 
 	next    atomic.Int32
 	pending sync.WaitGroup // one count per chunk
@@ -220,10 +222,11 @@ func (j *spmvJob) run() {
 	}
 }
 
-// chunk executes the job's kernel over one row range.
+// chunk executes the job's kernel over one chunk, clipped to the
+// product's row range.
 func (j *spmvJob) chunk(i int) {
 	m := j.m
-	lo, hi := int(j.bounds[i]), int(j.bounds[i+1])
+	lo, hi := max(int(j.bounds[i]), j.lo), min(int(j.bounds[i+1]), j.hi)
 	switch j.op {
 	case opMul:
 		m.mulRows(j.dst, j.x, lo, hi)
@@ -263,15 +266,25 @@ func (p *Pool) dispatch(j *spmvJob) {
 	j.pending.Wait()
 }
 
-// parallel reports whether a product over m should be fanned out, and
-// returns the row chunk boundaries to use if so.
-func (p *Pool) parallel(m *CSR) ([]int32, bool) {
-	if m.rows < parallelThreshold || p.workers == 1 || p.closed.Load() {
+// parallel reports whether a product over rows [lo, hi) of m should be
+// fanned out, and returns the row chunk boundaries to use if so: the
+// chunks of the matrix's nnz-balanced partition that meet the range
+// (the job clips the outer two to it). A range that meets one chunk
+// only runs serially.
+func (p *Pool) parallel(m *CSR, lo, hi int) ([]int32, bool) {
+	if hi-lo < parallelThreshold || p.workers == 1 || p.closed.Load() {
 		return nil, false
 	}
 	part := m.rowPartition(p.workers)
 	p.m.PartitionImbalance.Set(part.imbalance)
-	return part.bounds, true
+	b := part.bounds
+	chunks := len(b) - 1
+	first := sort.Search(chunks, func(i int) bool { return int(b[i+1]) > lo })
+	last := sort.Search(chunks, func(i int) bool { return int(b[i]) >= hi })
+	if last-first < 2 {
+		return nil, false
+	}
+	return b[first : last+1], true
 }
 
 // GetVec returns a length-n scratch vector, zeroed, reusing a previously
@@ -301,42 +314,51 @@ func (p *Pool) PutVec(v []float64) {
 }
 
 // MulVec computes dst = m·x with rows partitioned across the pool's
-// workers. dst and x must not alias.
+// workers: MulVecRange over every row. dst and x must not alias.
 func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
-	if len(x) != m.cols || len(dst) != m.rows {
-		return fmt.Errorf("sparse: parallel MulVec %dx%d with |x|=%d |dst|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), ErrShape)
+	return p.MulVecRange(m, dst, x, 0, m.rows)
+}
+
+// MulVecRange computes dst[r] = m[r,:]·x for the rows r in [lo, hi),
+// split across the pool's workers, and leaves every other entry of dst
+// untouched. dst and x must not alias. The result is bit-identical to
+// the serial CSR.MulVecRange: a chunk never ends mid-row.
+func (p *Pool) MulVecRange(m *CSR, dst, x []float64, lo, hi int) error {
+	if len(x) != m.cols || len(dst) != m.rows || !m.validRange(lo, hi) {
+		return fmt.Errorf("sparse: parallel MulVec %dx%d rows [%d,%d) with |x|=%d |dst|=%d: %w",
+			m.rows, m.cols, lo, hi, len(x), len(dst), ErrShape)
 	}
 	p.m.SpMV.Add(1)
-	bounds, ok := p.parallel(m)
+	bounds, ok := p.parallel(m, lo, hi)
 	if !ok {
-		return m.MulVec(dst, x)
+		return m.MulVecRange(dst, x, lo, hi)
 	}
 	p.m.SpMVParallel.Add(1)
-	p.dispatch(&spmvJob{op: opMul, m: m, x: x, dst: dst, bounds: bounds})
-	check.FiniteVec("sparse.Pool.MulVec", dst)
+	p.dispatch(&spmvJob{op: opMul, m: m, x: x, dst: dst, bounds: bounds, lo: lo, hi: hi})
+	check.FiniteVec("sparse.Pool.MulVec", dst[lo:hi])
 	return nil
 }
 
-// MulVecAccum computes dst = m·x and, when w != 0, acc += w·dst in the
-// same pass over the matrix — the fused kernel of the uniformisation
-// inner loop, which otherwise pays a second O(rows) sweep to fold each
-// iterate into its accumulator. dst, x and acc must not alias. The
-// result is bit-identical to MulVec followed by an element-wise
-// acc[i] += w*dst[i] loop.
-func (p *Pool) MulVecAccum(m *CSR, dst, x, acc []float64, w float64) error {
-	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows {
-		return fmt.Errorf("sparse: MulVecAccum %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), len(acc), ErrShape)
+// MulVecAccum computes, for the rows r in [lo, hi), dst[r] = m[r,:]·x
+// and, when w != 0, acc[r] += w·dst[r] in the same pass over the matrix
+// — the fused kernel of the uniformisation inner loop, which otherwise
+// pays a second sweep to fold each iterate into its accumulator. Rows
+// outside the range are left untouched; pass [0, m.Rows()) for the full
+// product. dst, x and acc must not alias. The result is bit-identical to
+// MulVecRange followed by an element-wise acc[r] += w*dst[r] loop.
+func (p *Pool) MulVecAccum(m *CSR, dst, x, acc []float64, w float64, lo, hi int) error {
+	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows || !m.validRange(lo, hi) {
+		return fmt.Errorf("sparse: MulVecAccum %dx%d rows [%d,%d) with |x|=%d |dst|=%d |acc|=%d: %w",
+			m.rows, m.cols, lo, hi, len(x), len(dst), len(acc), ErrShape)
 	}
 	p.m.SpMV.Add(1)
 	p.m.SpMVFused.Add(1)
-	bounds, ok := p.parallel(m)
+	bounds, ok := p.parallel(m, lo, hi)
 	if !ok {
-		return m.MulVecAccum(dst, x, acc, w)
+		return m.MulVecAccum(dst, x, acc, w, lo, hi)
 	}
 	p.m.SpMVParallel.Add(1)
-	p.dispatch(&spmvJob{op: opAccum, m: m, x: x, dst: dst, acc: acc, w: w, bounds: bounds})
-	check.FiniteVec("sparse.Pool.MulVecAccum", dst)
+	p.dispatch(&spmvJob{op: opAccum, m: m, x: x, dst: dst, acc: acc, w: w, bounds: bounds, lo: lo, hi: hi})
+	check.FiniteVec("sparse.Pool.MulVecAccum", dst[lo:hi])
 	return nil
 }

@@ -222,12 +222,12 @@ func TestMulVecAccumMatchesUnfused(t *testing.T) {
 			}
 		}
 		check("serial", func(dst, acc []float64) error {
-			return m.MulVecAccum(dst, x, acc, w)
+			return m.MulVecAccum(dst, x, acc, w, 0, rows)
 		})
 		pool := NewPool(4)
 		defer pool.Close()
 		check("parallel", func(dst, acc []float64) error {
-			return pool.MulVecAccum(m, dst, x, acc, w)
+			return pool.MulVecAccum(m, dst, x, acc, w, 0, rows)
 		})
 	}
 }
@@ -262,7 +262,7 @@ func TestPoolMixedKernelsConcurrent(t *testing.T) {
 				if g%2 == 0 {
 					err = pool.MulVec(m, dst, x)
 				} else {
-					err = pool.MulVecAccum(m, dst, x, acc, 0)
+					err = pool.MulVecAccum(m, dst, x, acc, 0, 0, rows)
 				}
 				if err != nil {
 					t.Errorf("product %d: %v", g, err)
@@ -297,9 +297,9 @@ func TestKernelShapeErrors(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"serial accum dst", m.MulVecAccum(bad, good, good, 1)},
-		{"serial accum acc", m.MulVecAccum(good, good, bad, 1)},
-		{"pool accum x", pool.MulVecAccum(m, good, bad, good, 1)},
+		{"serial accum dst", m.MulVecAccum(bad, good, good, 1, 0, 4)},
+		{"serial accum acc", m.MulVecAccum(good, good, bad, 1, 0, 4)},
+		{"pool accum x", pool.MulVecAccum(m, good, bad, good, 1, 0, 4)},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, ErrShape) {
@@ -430,7 +430,7 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 		x[i] = float64(i%5) + 0.25
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.MulVecAccum(dst, x, acc, 0.5); err != nil {
+		if err := m.MulVecAccum(dst, x, acc, 0.5, 0, 64); err != nil {
 			t.Fatal(err)
 		}
 	})

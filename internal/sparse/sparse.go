@@ -258,25 +258,40 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// MulVec computes dst = m·x (matrix times column vector). dst and x must
-// not alias. It runs serially; see ParallelMulVec for large matrices.
+// MulVec computes dst = m·x (matrix times column vector) over every
+// row: MulVecRange over [0, rows). dst and x must not alias. It runs
+// serially; see Pool.MulVec for large matrices.
 //
 //numlint:hotpath
 func (m *CSR) MulVec(dst, x []float64) error {
-	if len(x) != m.cols || len(dst) != m.rows {
+	return m.MulVecRange(dst, x, 0, m.rows)
+}
+
+// MulVecRange computes dst[r] = m[r,:]·x for the rows r in [lo, hi) and
+// leaves every other entry of dst untouched — the serial SpMV kernel.
+// dst and x must not alias.
+//
+//numlint:hotpath
+func (m *CSR) MulVecRange(dst, x []float64, lo, hi int) error {
+	if len(x) != m.cols || len(dst) != m.rows || !m.validRange(lo, hi) {
 		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
-		return fmt.Errorf("sparse: MulVec %dx%d with |x|=%d |dst|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), ErrShape)
+		return fmt.Errorf("sparse: MulVec %dx%d rows [%d,%d) with |x|=%d |dst|=%d: %w",
+			m.rows, m.cols, lo, hi, len(x), len(dst), ErrShape)
 	}
-	for r := 0; r < m.rows; r++ {
-		sum := 0.0
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			sum += m.vals[i] * x[m.colIdx[i]]
-		}
-		dst[r] = sum
-	}
-	check.FiniteVec("sparse.CSR.MulVec", dst)
+	m.mulRows(dst, x, lo, hi)
+	check.FiniteVec("sparse.CSR.MulVec", dst[lo:hi])
 	return nil
+}
+
+// validRange reports whether [lo, hi) is a row range of m.
+func (m *CSR) validRange(lo, hi int) bool {
+	return 0 <= lo && lo <= hi && hi <= m.rows
+}
+
+// RangeNNZ reports the number of stored entries in rows [lo, hi): the
+// non-zeros a ranged product over those rows streams through.
+func (m *CSR) RangeNNZ(lo, hi int) int {
+	return int(m.rowPtr[hi] - m.rowPtr[lo])
 }
 
 // VecMul computes dst = x·m (row vector times matrix) without
@@ -321,21 +336,22 @@ func (m *CSR) Dense() [][]float64 {
 	return d
 }
 
-// MulVecAccum computes dst = m·x and, when w != 0, acc[r] += w·dst[r]
-// in the same pass — the serial fused kernel behind Pool.MulVecAccum.
-// dst, x and acc must not alias. Bit-identical to MulVec followed by an
-// element-wise accumulate: each element sees the same multiply-add in
-// the same order.
+// MulVecAccum computes, for the rows r in [lo, hi), dst[r] = m[r,:]·x
+// and, when w != 0, acc[r] += w·dst[r] in the same pass — the serial
+// fused kernel behind Pool.MulVecAccum. Rows outside the range are left
+// untouched. dst, x and acc must not alias. Bit-identical to MulVecRange
+// followed by an element-wise accumulate over the same rows: each
+// element sees the same multiply-add in the same order.
 //
 //numlint:hotpath
-func (m *CSR) MulVecAccum(dst, x, acc []float64, w float64) error {
-	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows {
+func (m *CSR) MulVecAccum(dst, x, acc []float64, w float64, lo, hi int) error {
+	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows || !m.validRange(lo, hi) {
 		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
-		return fmt.Errorf("sparse: MulVecAccum %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), len(acc), ErrShape)
+		return fmt.Errorf("sparse: MulVecAccum %dx%d rows [%d,%d) with |x|=%d |dst|=%d |acc|=%d: %w",
+			m.rows, m.cols, lo, hi, len(x), len(dst), len(acc), ErrShape)
 	}
-	m.mulAccumRows(dst, x, acc, w, 0, m.rows)
-	check.FiniteVec("sparse.CSR.MulVecAccum", dst)
+	m.mulAccumRows(dst, x, acc, w, lo, hi)
+	check.FiniteVec("sparse.CSR.MulVecAccum", dst[lo:hi])
 	return nil
 }
 

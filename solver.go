@@ -56,6 +56,16 @@ type SolveReport struct {
 	// window the transient solve committed to — with Iterations, the
 	// cost drivers of uniformisation on large chains.
 	FoxGlynnLeft, FoxGlynnRight int
+	// SweptNNZ counts the non-zeros the uniformisation products actually
+	// streamed through: each product covers only the empty slice and the
+	// live band of states that carry mass, so it is usually well below
+	// SpMVs × Transitions.
+	SweptNNZ int64
+	// DroppedMass is the probability mass the solve trimmed off the live
+	// band. The trimming only lowers the lifetime CDF, by at most
+	// DroppedMass; each value lies within Epsilon + DroppedMass of the
+	// exact value of the Δ-chain.
+	DroppedMass float64
 	// UniformizationRate is the uniformisation constant q.
 	UniformizationRate float64
 	// ModelCacheHit reports whether the expanded CTMC came from the
@@ -380,6 +390,8 @@ func cdfReport(res *core.Result, hit bool) SolveReport {
 		SpMVs:              res.SpMVs,
 		FoxGlynnLeft:       res.FoxGlynnLeft,
 		FoxGlynnRight:      res.FoxGlynnRight,
+		SweptNNZ:           res.SweptNNZ,
+		DroppedMass:        res.DroppedMass,
 		UniformizationRate: res.Rate,
 		ModelCacheHit:      hit,
 	}
@@ -617,6 +629,8 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 		Transitions:        res.NNZ,
 		Iterations:         res.Iterations,
 		SpMVs:              res.SpMVs,
+		SweptNNZ:           res.SweptNNZ,
+		DroppedMass:        res.DroppedMass,
 		UniformizationRate: res.Rate,
 		ModelCacheHit:      allHit,
 	}

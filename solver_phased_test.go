@@ -85,6 +85,11 @@ func TestSolverPhasedCachesModelsAndResults(t *testing.T) {
 	if !rep.ResultMemoHit || !rep.ModelCacheHit {
 		t.Errorf("report = %+v, want result-memo and model-cache hits", rep)
 	}
+	// The replayed report sums the work of every phase's solve.
+	if rep.Iterations <= 0 || rep.SpMVs != rep.Iterations || rep.SweptNNZ <= 0 {
+		t.Errorf("report Iterations %d, SpMVs %d, SweptNNZ %d; want SpMVs = Iterations > 0 and SweptNNZ > 0",
+			rep.Iterations, rep.SpMVs, rep.SweptNNZ)
+	}
 	sameCurve(t, "memoised phased result", second.EmptyProb, first.EmptyProb)
 
 	// A phase sharing a model with a plain query shares its cache entry.

@@ -1,9 +1,15 @@
 package batlife
 
 import (
+	"bufio"
+	"net/http/httptest"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+
+	"batlife/internal/obs"
 )
 
 // TestSolveReportFirstSolve pins the report of a cold solve: a fresh
@@ -80,9 +86,38 @@ func TestTelemetryExactCounts(t *testing.T) {
 	times := []float64{10000, 15000}
 	reg := NewTelemetry()
 	s := NewSolver(SolverOptions{Telemetry: reg})
+	sweptBefore := scrapeCounter(t, reg, "ctmc_swept_nnz_total")
 	var rep SolveReport
 	if _, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50, Report: &rep}); err != nil {
 		t.Fatal(err)
+	}
+	// The report, the solve's span and the /metrics delta describe the
+	// same solve field by field.
+	if rep.SweptNNZ <= 0 || rep.SweptNNZ > int64(rep.SpMVs)*int64(rep.Transitions+rep.ReachableStates) {
+		t.Errorf("SweptNNZ = %d, want in (0, SpMVs·(nnz+states)]", rep.SweptNNZ)
+	}
+	if d := scrapeCounter(t, reg, "ctmc_swept_nnz_total") - sweptBefore; d != rep.SweptNNZ {
+		t.Errorf("/metrics ctmc_swept_nnz_total delta = %d, report SweptNNZ = %d", d, rep.SweptNNZ)
+	}
+	var spans []map[string]string
+	for _, sp := range reg.Tracer().Spans() {
+		if sp.Name == "ctmc.transient" {
+			spans = append(spans, sp.Attrs)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d ctmc.transient spans, want 1", len(spans))
+	}
+	for key, want := range map[string]string{
+		"iterations":     strconv.Itoa(rep.Iterations),
+		"foxglynn_left":  strconv.Itoa(rep.FoxGlynnLeft),
+		"foxglynn_right": strconv.Itoa(rep.FoxGlynnRight),
+		"swept_nnz":      strconv.FormatInt(rep.SweptNNZ, 10),
+		"dropped_mass":   strconv.FormatFloat(rep.DroppedMass, 'g', -1, 64),
+	} {
+		if got := spans[0][key]; got != want {
+			t.Errorf("ctmc.transient span %s = %q, report says %q", key, got, want)
+		}
 	}
 	if _, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50}); err != nil {
 		t.Fatal(err)
@@ -96,6 +131,7 @@ func TestTelemetryExactCounts(t *testing.T) {
 		"ctmc_solves_total":                    1,
 		"ctmc_uniformization_iterations_total": int64(rep.Iterations),
 		"ctmc_spmv_total":                      int64(rep.SpMVs),
+		"ctmc_swept_nnz_total":                 rep.SweptNNZ,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -210,4 +246,23 @@ func TestSweepTelemetrySpans(t *testing.T) {
 	if h := reg.Histogram("sweep_queue_wait_seconds"); h.Snapshot().Count != int64(len(scenarios)) {
 		t.Errorf("sweep_queue_wait_seconds count = %d, want %d", h.Snapshot().Count, len(scenarios))
 	}
+}
+
+// scrapeCounter reads one unlabelled counter sample from the registry's
+// /metrics endpoint; an absent series reads 0.
+func scrapeCounter(t *testing.T, reg *Telemetry, sample string) int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	obs.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), sample+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", sample, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
